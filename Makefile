@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race cover bench bench-all bench-smoke bench-diff alloc-smoke suite suite-paper examples fuzz serve-smoke crash-smoke budget-smoke trace-smoke cancel-smoke alert-smoke clean
+.PHONY: all build test vet lint race cover bench bench-all bench-smoke bench-diff alloc-smoke perfbench-test suite suite-paper examples fuzz serve-smoke crash-smoke budget-smoke trace-smoke cancel-smoke alert-smoke clean
 
 all: build vet test
 
@@ -49,9 +49,15 @@ bench-diff:
 # floors don't hold there); the workers-1-vs-N bit-equality re-runs over
 # the same pooled paths run under -race.
 alloc-smoke:
-	$(GO) test -run 'SteadyState' -v ./internal/privim/ ./internal/diffusion/ ./internal/im/ ./internal/obs/history/ | grep -v '^=== RUN'
+	$(GO) test -run 'SteadyState' -v ./internal/parallel/ ./internal/privim/ ./internal/diffusion/ ./internal/im/ ./internal/obs/history/ | grep -v '^=== RUN'
 	$(GO) test -race -run 'WorkerInvariant|BitExact|StreamStable' \
 		./internal/privim/ ./internal/diffusion/ ./internal/im/ ./internal/nn/ ./internal/tensor/ ./internal/autodiff/
+
+# The benchmark harness is its own module (perfbench/go.mod), so the
+# root module's `go build ./...` never compiles it. Vet and test it here
+# so an API change that breaks the benchmark fails CI.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The historical full sweep: every benchmark in the repo, once.
 bench-all:

@@ -259,17 +259,6 @@ func BenchmarkIMMSelect(b *testing.B) {
 	}
 }
 
-func BenchmarkFastICSimulate(b *testing.B) {
-	g := benchGraph(5000)
-	fast := &diffusion.FastIC{CSR: graph.BuildCSR(g)}
-	rng := rand.New(rand.NewSource(2))
-	seeds := []graph.NodeID{0, 10, 100, 1000}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fast.Simulate(seeds, rng)
-	}
-}
-
 func BenchmarkSolverComparison(b *testing.B) {
 	s := benchSettings(dataset.Bitcoin)
 	for i := 0; i < b.N; i++ {

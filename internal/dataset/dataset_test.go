@@ -178,6 +178,30 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateRepeatableAllPresets generates every preset twice in one
+// process and requires identical fingerprints: arc order feeds every
+// seeded result downstream, so a generator must not iterate a map.
+func TestGenerateRepeatableAllPresets(t *testing.T) {
+	for _, p := range append(AllPresets(), Friendster) {
+		scale := 0.05
+		if p == Friendster {
+			scale = 2e-5
+		}
+		opts := Options{Scale: scale, Seed: 3}
+		a, err := Generate(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Generate(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fa, fb := a.Graph.Fingerprint(), b.Graph.Fingerprint(); fa != fb {
+			t.Errorf("%s: two Generate calls gave fingerprints %#016x and %#016x", p, fa, fb)
+		}
+	}
+}
+
 func TestGenerateWeightedCascade(t *testing.T) {
 	ds, err := Generate(Bitcoin, Options{Scale: 0.05, Seed: 2}) // InfluenceProb 0 -> WC
 	if err != nil {

@@ -9,8 +9,10 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"privim/internal/graph"
 )
@@ -34,15 +36,17 @@ func BarabasiAlbert(n, m int, rng *rand.Rand) *graph.Graph {
 			repeated = append(repeated, graph.NodeID(u), graph.NodeID(v))
 		}
 	}
-	targets := make(map[graph.NodeID]bool, m)
+	// targets holds the m distinct picks in draw order, so the arc order
+	// (and everything seeded downstream of it) is fixed by the rng alone.
+	targets := make([]graph.NodeID, 0, m)
 	for u := m + 1; u < n; u++ {
-		for k := range targets {
-			delete(targets, k)
-		}
+		targets = targets[:0]
 		for len(targets) < m {
-			targets[repeated[rng.Intn(len(repeated))]] = true
+			if v := repeated[rng.Intn(len(repeated))]; !slices.Contains(targets, v) {
+				targets = append(targets, v)
+			}
 		}
-		for v := range targets {
+		for _, v := range targets {
 			g.AddEdge(graph.NodeID(u), v, 1)
 			repeated = append(repeated, graph.NodeID(u), v)
 		}
@@ -95,8 +99,20 @@ func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) *graph.Graph {
 			}
 		}
 	}
-	g := graph.NewWithNodes(n, false)
+	// Add edges in sorted (a, b) order, not map order, so the same rng
+	// always yields the same arc order.
+	keys := make([]key, 0, len(edges))
 	for e := range edges {
+		keys = append(keys, e)
+	}
+	slices.SortFunc(keys, func(x, y key) int {
+		if x.a != y.a {
+			return cmp.Compare(x.a, y.a)
+		}
+		return cmp.Compare(x.b, y.b)
+	})
+	g := graph.NewWithNodes(n, false)
+	for _, e := range keys {
 		g.AddEdge(e.a, e.b, 1)
 	}
 	return g

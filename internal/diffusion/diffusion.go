@@ -325,27 +325,20 @@ func EstimateWorkers(model Model, seeds []graph.NodeID, rounds int, seed int64, 
 	return mean
 }
 
-// EstimateObserved is Estimate with live telemetry: when o is non-nil it
-// emits one MCBatchDone event carrying the batch's throughput and its
-// cascade-size histogram. A nil observer adds one predictable branch per
-// round and no allocations — Estimate simply calls through.
-func EstimateObserved(model Model, seeds []graph.NodeID, rounds int, seed int64, o obs.Observer) float64 {
-	mean, _ := estimate(nil, model, seeds, rounds, seed, 0, o)
-	return mean
-}
-
-// EstimateContext is EstimateObserved under a caller context: the batch
-// runs inside a "diffusion.estimate" span rooted under the context's
-// span (or fresh on o), inheriting the context's trace ID. A nil o with
-// a span-carrying context still journals — the span's observer receives
-// the MCBatchDone event.
+// EstimateContext is Estimate under a caller context with live
+// telemetry: the batch runs inside a "diffusion.estimate" span rooted
+// under the context's span (or fresh on o), inheriting the context's
+// trace ID, and a non-nil observer receives one MCBatchDone event
+// carrying the batch's throughput and its cascade-size histogram. A nil
+// o with a span-carrying context still journals — the span's observer
+// receives the MCBatchDone event.
 //
 // Cancellation is checked at round-chunk boundaries: when ctx fires
 // mid-batch, EstimateContext stops within a few rounds and returns a
 // *CanceledError recording the partial round count (plus an
 // obs.Canceled event with the observed cancellation latency). A batch
-// that completes returns the same mean as EstimateObserved, bit for
-// bit, at any worker count.
+// that completes returns the same mean as Estimate, bit for bit, at any
+// worker count.
 func EstimateContext(ctx context.Context, model Model, seeds []graph.NodeID, rounds int, seed int64, o obs.Observer) (float64, error) {
 	span := obs.StartSpanCtx(ctx, o, "diffusion.estimate")
 	defer span.End()
@@ -434,28 +427,24 @@ func estimate(ctx context.Context, model Model, seeds []graph.NodeID, rounds int
 	st := estPool.Get().(*estState)
 	st.model, st.seeds, st.seed = model, seeds, seed
 	st.reset(workers, o != nil)
-	if ctx != nil {
-		clk := obs.WatchCancel(ctx)
-		_, err := parallel.ForCtx(ctx, workers, rounds, 8, st.body)
-		clk.Stop()
-		if err != nil {
-			var done int64
-			for _, d := range st.done {
-				done += d
-			}
-			obs.Emit(o, obs.Canceled{
-				Phase:   "estimate",
-				Done:    int(done),
-				Total:   rounds,
-				Reason:  err.Error(),
-				Latency: clk.Latency(),
-			})
-			st.model, st.seeds = nil, nil
-			estPool.Put(st)
-			return 0, &CanceledError{Done: int(done), Total: rounds, Err: err}
+	clk := obs.WatchCancel(ctx)
+	_, err := parallel.ForCtx(ctx, workers, rounds, 8, st.body)
+	clk.Stop()
+	if err != nil {
+		var done int64
+		for _, d := range st.done {
+			done += d
 		}
-	} else {
-		parallel.For(workers, rounds, 8, st.body)
+		obs.Emit(o, obs.Canceled{
+			Phase:   "estimate",
+			Done:    int(done),
+			Total:   rounds,
+			Reason:  err.Error(),
+			Latency: clk.Latency(),
+		})
+		st.model, st.seeds = nil, nil
+		estPool.Put(st)
+		return 0, &CanceledError{Done: int(done), Total: rounds, Err: err}
 	}
 	var sum int64
 	for _, v := range st.totals {
@@ -482,14 +471,4 @@ func estimate(ctx context.Context, model Model, seeds []graph.NodeID, rounds int
 	st.model, st.seeds = nil, nil // don't pin caller data in the pool
 	estPool.Put(st)
 	return mean, nil
-}
-
-// EstimateMany evaluates the spread of several seed sets, reusing the
-// parallel estimator. Returns one mean per seed set.
-func EstimateMany(model Model, seedSets [][]graph.NodeID, rounds int, seed int64) []float64 {
-	out := make([]float64, len(seedSets))
-	for i, s := range seedSets {
-		out[i] = Estimate(model, s, rounds, seed+int64(i))
-	}
-	return out
 }

@@ -141,14 +141,6 @@ func TestEstimateDeterministic(t *testing.T) {
 	}
 }
 
-func TestEstimateMany(t *testing.T) {
-	g := lineGraph(5, 1)
-	got := EstimateMany(&IC{G: g}, [][]graph.NodeID{{0}, {4}}, 10, 1)
-	if got[0] != 5 || got[1] != 1 {
-		t.Fatalf("EstimateMany = %v, want [5 1]", got)
-	}
-}
-
 func TestEstimatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

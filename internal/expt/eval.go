@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 
 	"privim/internal/dataset"
@@ -68,8 +69,10 @@ func (e *evalContext) model() diffusion.Model {
 }
 
 // spread estimates the influence spread of a seed set on the test graph.
+// The background context never fires, so the estimate cannot fail.
 func (e *evalContext) spread(seeds []graph.NodeID, seed int64) float64 {
-	return diffusion.EstimateObserved(e.model(), seeds, e.settings.MCRounds, seed, e.settings.Observer)
+	mean, _ := diffusion.EstimateContext(context.Background(), e.model(), seeds, e.settings.MCRounds, seed, e.settings.Observer)
+	return mean
 }
 
 // trainConfig builds a privim.Config for the given method and budget.

@@ -239,13 +239,13 @@ func (m *Model) Forward(tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Grap
 // ForwardPrep is Forward with the graph-derived structures supplied by a
 // cached Prep (from NewPrep on the same model kind and graph).
 func (m *Model) ForwardPrep(tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix, p *Prep) *autodiff.Node {
-	out, _ := m.forwardPrep(nil, tp, bound, g, x, p)
+	out, _ := m.forwardPrep(context.Background(), tp, bound, g, x, p)
 	return out
 }
 
-// forwardPrep is the ForwardPrep core with an optional context: a
-// non-nil ctx is checked before every layer, so a canceled inference
-// stops within one layer's SpMM/GEMM work. A nil ctx never errors.
+// forwardPrep is the one forward body: ctx is checked before every
+// layer, so a canceled inference stops within one layer's SpMM/GEMM
+// work. An uncancelable ctx never errors.
 func (m *Model) forwardPrep(ctx context.Context, tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix, p *Prep) (*autodiff.Node, error) {
 	if x.Rows != g.NumNodes() || x.Cols != m.Cfg.InputDim {
 		panic(fmt.Sprintf("gnn: Forward features %dx%d for graph with %d nodes, input dim %d",
@@ -256,32 +256,32 @@ func (m *Model) forwardPrep(ctx context.Context, tp *autodiff.Tape, bound []*aut
 			p.kind, p.n, m.Cfg.Kind, g.NumNodes()))
 	}
 	h := tp.Leaf(x)
+	for l := range m.layers {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		h = m.layer(tp, bound, &m.layers[l], h, p)
+	}
+	skip := autodiff.ConcatCols(h, tp.Leaf(x))
+	logits := autodiff.MatMul(skip, bound[m.readoutW])
+	logits = autodiff.AddRowBroadcast(logits, bound[m.readoutB])
+	return autodiff.Sigmoid(logits), nil
+}
+
+// layer applies one message-passing layer with parameters ref to h.
+func (m *Model) layer(tp *autodiff.Tape, bound []*autodiff.Node, ref *layerRefs, h *autodiff.Node, p *Prep) *autodiff.Node {
 	switch m.Cfg.Kind {
 	case GCN:
-		for l := 0; l < m.Cfg.Layers; l++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			agg := autodiff.SpMM(p.adj, h)
-			z := autodiff.MatMul(agg, bound[m.layers[l].w])
-			z = autodiff.AddRowBroadcast(z, bound[m.layers[l].b])
-			h = autodiff.ReLU(z)
-		}
+		agg := autodiff.SpMM(p.adj, h)
+		z := autodiff.MatMul(agg, bound[ref.w])
+		z = autodiff.AddRowBroadcast(z, bound[ref.b])
+		return autodiff.ReLU(z)
 	case GraphSAGE:
-		for l := 0; l < m.Cfg.Layers; l++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			neigh := autodiff.SpMM(p.adj, h)
-			cat := autodiff.ConcatCols(h, neigh)
-			z := autodiff.MatMul(cat, bound[m.layers[l].w])
-			z = autodiff.AddRowBroadcast(z, bound[m.layers[l].b])
-			h = autodiff.ReLU(z)
-		}
+		neigh := autodiff.SpMM(p.adj, h)
+		cat := autodiff.ConcatCols(h, neigh)
+		z := autodiff.MatMul(cat, bound[ref.w])
+		z = autodiff.AddRowBroadcast(z, bound[ref.b])
+		return autodiff.ReLU(z)
 	case GAT, GRAT:
 		dst, src := p.dst, p.src
 		// GAT normalizes attention over each destination's in-edges
@@ -291,77 +291,48 @@ func (m *Model) forwardPrep(ctx context.Context, tp *autodiff.Tape, bound []*aut
 		if m.Cfg.Kind == GRAT {
 			seg = src
 		}
-		n := g.NumNodes()
-		for l := 0; l < m.Cfg.Layers; l++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
+		wh := autodiff.MatMul(h, bound[ref.w])
+		hd := autodiff.GatherRows(wh, dst)
+		hs := autodiff.GatherRows(wh, src)
+		cat := autodiff.ConcatCols(hd, hs)
+		// Each head computes its own attention distribution over the
+		// shared projection; head outputs are averaged.
+		var agg *autodiff.Node
+		for _, attn := range ref.attn {
+			e := autodiff.MatMul(cat, bound[attn])
+			e = autodiff.LeakyReLU(e, m.Cfg.LeakySlope)
+			alpha := autodiff.SegmentSoftmax(e, seg, p.n)
+			msg := autodiff.MulColBroadcast(hs, alpha)
+			headAgg := autodiff.ScatterAddRows(msg, dst, p.n)
+			if agg == nil {
+				agg = headAgg
+			} else {
+				agg = autodiff.Add(agg, headAgg)
 			}
-			wh := autodiff.MatMul(h, bound[m.layers[l].w])
-			hd := autodiff.GatherRows(wh, dst)
-			hs := autodiff.GatherRows(wh, src)
-			cat := autodiff.ConcatCols(hd, hs)
-			// Each head computes its own attention distribution over the
-			// shared projection; head outputs are averaged.
-			var agg *autodiff.Node
-			for head := 0; head < m.Cfg.Heads; head++ {
-				e := autodiff.MatMul(cat, bound[m.layers[l].attn[head]])
-				e = autodiff.LeakyReLU(e, m.Cfg.LeakySlope)
-				alpha := autodiff.SegmentSoftmax(e, seg, n)
-				msg := autodiff.MulColBroadcast(hs, alpha)
-				headAgg := autodiff.ScatterAddRows(msg, dst, n)
-				if agg == nil {
-					agg = headAgg
-				} else {
-					agg = autodiff.Add(agg, headAgg)
-				}
-			}
-			if m.Cfg.Heads > 1 {
-				agg = autodiff.Scale(agg, 1/float64(m.Cfg.Heads))
-			}
-			agg = autodiff.AddRowBroadcast(agg, bound[m.layers[l].b])
-			h = autodiff.ReLU(agg)
 		}
-	case GIN:
-		for l := 0; l < m.Cfg.Layers; l++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			neigh := autodiff.SpMM(p.adj, h)
-			// (1+ε)·h + Σ_neighbors h, with learnable scalar ε broadcast.
-			epsNode := bound[m.layers[l].eps]
-			col := autodiff.MatMul(tp.Leaf(p.ones), epsNode) // n×1 of ε
-			scaled := autodiff.MulColBroadcast(h, col)
-			z := autodiff.Add(autodiff.Add(h, scaled), neigh)
-			z = autodiff.MatMul(z, bound[m.layers[l].w])
-			z = autodiff.ReLU(z)
-			z = autodiff.MatMul(z, bound[m.layers[l].w2])
-			z = autodiff.AddRowBroadcast(z, bound[m.layers[l].b])
-			h = autodiff.ReLU(z)
+		if m.Cfg.Heads > 1 {
+			agg = autodiff.Scale(agg, 1/float64(m.Cfg.Heads))
 		}
+		agg = autodiff.AddRowBroadcast(agg, bound[ref.b])
+		return autodiff.ReLU(agg)
+	default: // GIN
+		neigh := autodiff.SpMM(p.adj, h)
+		// (1+ε)·h + Σ_neighbors h, with learnable scalar ε broadcast.
+		col := autodiff.MatMul(tp.Leaf(p.ones), bound[ref.eps]) // n×1 of ε
+		scaled := autodiff.MulColBroadcast(h, col)
+		z := autodiff.Add(autodiff.Add(h, scaled), neigh)
+		z = autodiff.MatMul(z, bound[ref.w])
+		z = autodiff.ReLU(z)
+		z = autodiff.MatMul(z, bound[ref.w2])
+		z = autodiff.AddRowBroadcast(z, bound[ref.b])
+		return autodiff.ReLU(z)
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	skip := autodiff.ConcatCols(h, tp.Leaf(x))
-	logits := autodiff.MatMul(skip, bound[m.readoutW])
-	logits = autodiff.AddRowBroadcast(logits, bound[m.readoutB])
-	return autodiff.Sigmoid(logits), nil
 }
 
 // Score runs a forward pass outside any training loop and returns the
 // plain seed probabilities for graph g.
 func (m *Model) Score(g *graph.Graph, x *tensor.Matrix) []float64 {
-	tp := autodiff.NewTape()
-	bound := nn.Bind(tp, m.Params)
-	out := m.Forward(tp, bound, g, x)
-	scores := make([]float64, g.NumNodes())
-	copy(scores, out.Value.Data)
+	scores, _ := m.ScoreContext(context.Background(), g, x)
 	return scores
 }
 

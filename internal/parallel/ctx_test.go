@@ -14,30 +14,59 @@ import (
 // output at any worker count.
 func TestForCtxMatchesFor(t *testing.T) {
 	const n = 1003
-	for _, workers := range []int{1, 2, 4, 7} {
-		ref := make([]float64, n)
-		For(workers, n, 16, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ref[i] = math.Sqrt(float64(i)) * 1.5
+	cancelable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, ctx := range []context.Context{context.Background(), cancelable} {
+		for _, workers := range []int{1, 2, 4, 7} {
+			ref := make([]float64, n)
+			For(workers, n, 16, func(_, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					ref[i] = math.Sqrt(float64(i)) * 1.5
+				}
+			})
+			got := make([]float64, n)
+			st, err := ForCtx(ctx, workers, n, 16, func(_, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					got[i] = math.Sqrt(float64(i)) * 1.5
+				}
+			})
+			if err != nil {
+				t.Fatalf("%v workers=%d: unexpected error %v", ctx, workers, err)
 			}
-		})
-		got := make([]float64, n)
-		st, err := ForCtx(context.Background(), workers, n, 16, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				got[i] = math.Sqrt(float64(i)) * 1.5
+			if want := (n + 15) / 16; st.Chunks != want {
+				t.Fatalf("%v workers=%d: ran %d chunks, want %d", ctx, workers, st.Chunks, want)
 			}
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: unexpected error %v", workers, err)
-		}
-		if want := (n + 15) / 16; st.Chunks != want {
-			t.Fatalf("workers=%d: ran %d chunks, want %d", workers, st.Chunks, want)
-		}
-		for i := range ref {
-			if math.Float64bits(ref[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("workers=%d: output diverges at %d: %v vs %v", workers, i, ref[i], got[i])
+			for i := range ref {
+				if math.Float64bits(ref[i]) != math.Float64bits(got[i]) {
+					t.Fatalf("%v workers=%d: output diverges at %d: %v vs %v", ctx, workers, i, ref[i], got[i])
+				}
 			}
 		}
+	}
+}
+
+// TestForSteadyStateZeroAlloc pins the inline serial path at zero
+// allocations under every kind of context: nil (plain For), one that can
+// never fire, and a cancelable one that has not fired.
+func TestForSteadyStateZeroAlloc(t *testing.T) {
+	cancelable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var sink int
+	fn := func(_, lo, hi int) { sink += hi - lo }
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"For", func() { For(1, 100, 10, fn) }},
+		{"ForCtx/background", func() { ForCtx(context.Background(), 1, 100, 10, fn) }},
+		{"ForCtx/cancelable", func() { ForCtx(cancelable, 1, 100, 10, fn) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.run); got != 0 {
+			t.Errorf("%s allocates %v objects/op, want 0", tc.name, got)
+		}
+	}
+	if sink == 0 {
+		t.Fatal("fn never ran")
 	}
 }
 

@@ -4,18 +4,20 @@
 // (internal/privim), Monte-Carlo cascade rounds (internal/diffusion), and
 // RR-set / marginal-gain fan-outs (internal/im).
 //
-// Two invariants make it safe to thread through DP code:
+// There is one chunk-claiming loop, ForCtx. For is ForCtx under a
+// context that never fires, and ForObservedCtx wraps it in a span. Two
+// invariants make it safe to thread through DP code:
 //
-//   - Determinism: For splits [0, n) into fixed grain-sized chunks and
-//     workers claim chunks dynamically, so *which* goroutine runs a chunk
-//     varies — but callers only ever write to disjoint index ranges (or
-//     reduce with order-independent integer sums), so results are
+//   - Determinism: the loop splits [0, n) into fixed grain-sized chunks
+//     and workers claim chunks dynamically, so *which* goroutine runs a
+//     chunk varies — but callers only ever write to disjoint index ranges
+//     (or reduce with order-independent integer sums), so results are
 //     bit-for-bit identical at any worker count. Randomized work draws its
 //     randomness from Stream(seed, i), a per-index SplitMix64 stream, never
 //     from a shared sequential RNG.
-//   - Observability: every For returns Stats (workers used, chunks run per
-//     worker, imbalance), and package-wide atomic totals are exposed via
-//     Totals so speedups are measurable rather than asserted.
+//   - Observability: every call returns Stats (workers used, chunks run
+//     per worker, imbalance), and package-wide atomic totals are exposed
+//     via Totals so speedups are measurable rather than asserted.
 //
 // The process-wide worker cap comes from, in priority order: SetLimit
 // (the -workers flag), the PRIVIM_WORKERS environment variable, and
@@ -23,6 +25,7 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"runtime"
@@ -68,7 +71,7 @@ func Resolve(n int) int {
 	return Limit()
 }
 
-// Stats describes one For call, for obs counters and tests.
+// Stats describes one For/ForCtx call, for obs counters and tests.
 type Stats struct {
 	// Workers is the number of goroutines that ran chunks (1 = inline).
 	Workers int
@@ -89,14 +92,14 @@ func (s Stats) Imbalance() float64 {
 	return float64(s.MaxChunks-s.MinChunks) / float64(s.Chunks)
 }
 
-// Package-wide totals, maintained by For.
+// Package-wide totals, maintained by ForCtx.
 var (
 	totalCalls    atomic.Int64
 	totalParallel atomic.Int64
 	totalChunks   atomic.Int64
 )
 
-// Totals reports cumulative For activity since process start: total
+// Totals reports cumulative For/ForCtx activity since process start: total
 // calls, calls that actually fanned out (vs inline serial), and chunks
 // executed. Exposed so debug endpoints and tests can observe that the
 // parallel paths are exercised.
@@ -116,8 +119,39 @@ func Totals() (calls, parallelCalls, chunks int64) {
 // into per-worker slots that are later reduced in a fixed order) for the
 // result to be deterministic — every call site in this repo does.
 func For(workers, n, grain int, fn func(worker, lo, hi int)) Stats {
+	st, _ := ForCtx(nil, workers, n, grain, fn)
+	return st
+}
+
+// ForCtx is For under a caller-supplied context. A context that can fire
+// is checked at every chunk boundary — before each dynamic chunk claim on
+// the parallel path, before each chunk on the inline serial path — so a
+// canceled context stops the fan-out within one grain of work per
+// worker. A context that can never fire (nil, or Done() == nil like
+// context.Background) is never checked: serial work is one fn(0, 0, n)
+// call and the parallel loop claims chunks unconditionally.
+//
+// Determinism contract: a ForCtx call that returns a nil error executed
+// exactly the chunk set of an uncanceled call, over the same index
+// ranges, so completed calls are bit-for-bit identical at any worker
+// count and under any context (call sites write only disjoint [lo, hi)
+// ranges). When the context is canceled mid-flight, ForCtx returns
+// ctx.Err() and the output arrays hold an unspecified mix of written and
+// unwritten ranges — callers must treat partial output as garbage, never
+// publish it.
+//
+// Stats always reflects the chunks actually executed, so cancellation
+// latency is observable: a canceled call reports Chunks < the full chunk
+// count.
+func ForCtx(ctx context.Context, workers, n, grain int, fn func(worker, lo, hi int)) (Stats, error) {
+	if ctx != nil && ctx.Done() == nil {
+		ctx = nil // can never fire: skip every check below
+	}
 	if n <= 0 {
-		return Stats{}
+		if ctx != nil {
+			return Stats{}, ctx.Err()
+		}
+		return Stats{}, nil
 	}
 	workers = Resolve(workers)
 	if workers > n {
@@ -128,19 +162,33 @@ func For(workers, n, grain int, fn func(worker, lo, hi int)) Stats {
 	}
 	chunks := (n + grain - 1) / grain
 	totalCalls.Add(1)
-	totalChunks.Add(int64(chunks))
 	if workers <= 1 || chunks == 1 {
-		fn(0, 0, n)
-		return Stats{Workers: 1, Chunks: chunks, MaxChunks: chunks, MinChunks: chunks}
+		if ctx == nil {
+			fn(0, 0, n)
+		} else {
+			// Iterate chunk by chunk so a single-threaded caller still
+			// observes cancellation at grain granularity. Identical
+			// output when it completes: fn writes disjoint ranges.
+			for c := 0; c < chunks; c++ {
+				if err := ctx.Err(); err != nil {
+					totalChunks.Add(int64(c))
+					return Stats{Workers: 1, Chunks: c, MaxChunks: c, MinChunks: c}, err
+				}
+				lo := c * grain
+				fn(0, lo, min(lo+grain, n))
+			}
+		}
+		totalChunks.Add(int64(chunks))
+		return Stats{Workers: 1, Chunks: chunks, MaxChunks: chunks, MinChunks: chunks}, nil
 	}
 	if workers > chunks {
 		workers = chunks
 	}
 	totalParallel.Add(1)
-	// Capture a never-reassigned copy: capturing grain itself (assigned
-	// above) would force it to the heap in For's prologue, costing one
-	// allocation even on the inline serial path.
-	sz := grain
+	// Capture never-reassigned copies: capturing grain or ctx themselves
+	// (both assigned above) would force them to the heap in the
+	// prologue, costing an allocation even on the inline serial path.
+	sz, cctx := grain, ctx
 	var cursor atomic.Int64
 	ran := make([]int, workers)
 	var wg sync.WaitGroup
@@ -148,32 +196,33 @@ func For(workers, n, grain int, fn func(worker, lo, hi int)) Stats {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			for {
+			for cctx == nil || cctx.Err() == nil {
 				c := int(cursor.Add(1)) - 1
 				if c >= chunks {
 					return
 				}
 				lo := c * sz
-				hi := lo + sz
-				if hi > n {
-					hi = n
-				}
-				fn(w, lo, hi)
+				fn(w, lo, min(lo+sz, n))
 				ran[w]++
 			}
 		}(w)
 	}
 	wg.Wait()
-	st := Stats{Workers: workers, Chunks: chunks, MinChunks: chunks}
+	st := Stats{Workers: workers, MinChunks: ran[0]}
 	for _, r := range ran {
-		if r > st.MaxChunks {
-			st.MaxChunks = r
-		}
-		if r < st.MinChunks {
-			st.MinChunks = r
-		}
+		st.Chunks += r
+		st.MaxChunks = max(st.MaxChunks, r)
+		st.MinChunks = min(st.MinChunks, r)
 	}
-	return st
+	totalChunks.Add(int64(st.Chunks))
+	if st.Chunks < chunks {
+		// The only way to leave chunks unclaimed is a context error; by
+		// the time every worker has exited, ctx.Err() is non-nil.
+		return st, cctx.Err()
+	}
+	// Every chunk ran: the output is complete and valid even if the
+	// context was canceled an instant after the last chunk finished.
+	return st, nil
 }
 
 // splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix.

@@ -1,8 +1,8 @@
 package parallel
 
-// Scratch is a typed per-worker scratch arena for For/ForObserved
-// callbacks: one lazily-built value of T per worker slot, keyed by the
-// worker index fn receives. It exists so worker-local temporaries (tapes,
+// Scratch is a typed per-worker scratch arena for For/ForCtx callbacks:
+// one lazily-built value of T per worker slot, keyed by the worker index
+// fn receives. It exists so worker-local temporaries (tapes,
 // gradient buffers, frontier queues, RNGs) are built once and reused
 // across chunks and across calls instead of being per-call makes.
 //

@@ -306,7 +306,6 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 	// be the RNG position at the stop point's iteration boundary: when the
 	// gradient pass is interrupted the batch picks were already drawn, so
 	// the caller passes the position captured before them.
-	cancelable := ctx.Done() != nil
 	clk := obs.WatchCancel(ctx)
 	defer clk.Stop()
 	canceled := func(iter int, draws uint64, cause error) error {
@@ -342,10 +341,8 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 
 	var poolStats parallel.Stats
 	for t := startIter; t < cfg.Iterations; t++ {
-		if cancelable {
-			if err := ctx.Err(); err != nil {
-				return nil, canceled(t, src.Draws(), err)
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, canceled(t, src.Draws(), err)
 		}
 		// The RNG position at this iteration boundary, for the final
 		// checkpoint if the gradient pass below is interrupted.
@@ -355,15 +352,9 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 		for b := range picks {
 			picks[b] = rng.Intn(container.Len())
 		}
-		var st parallel.Stats
-		if cancelable {
-			var err error
-			st, err = parallel.ForCtx(ctx, workers, batch, 1, gradPass)
-			if err != nil {
-				return nil, canceled(t, drawsBefore, err)
-			}
-		} else {
-			st = parallel.For(workers, batch, 1, gradPass)
+		st, err := parallel.ForCtx(ctx, workers, batch, 1, gradPass)
+		if err != nil {
+			return nil, canceled(t, drawsBefore, err)
 		}
 		poolStats.Workers = st.Workers
 		poolStats.Chunks += st.Chunks

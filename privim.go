@@ -182,16 +182,11 @@ func EstimateSpread(m DiffusionModel, seeds []NodeID, rounds int, seed int64) fl
 	return diffusion.Estimate(m, seeds, rounds, seed)
 }
 
-// EstimateSpreadObserved is EstimateSpread with live telemetry: a
-// non-nil observer receives one MCBatchDone event for the batch.
-func EstimateSpreadObserved(m DiffusionModel, seeds []NodeID, rounds int, seed int64, o Observer) float64 {
-	return diffusion.EstimateObserved(m, seeds, rounds, seed, o)
-}
-
-// EstimateSpreadContext is EstimateSpreadObserved under a caller
-// context: cancellation is honored between simulation chunks, returning
-// a *SpreadCanceledError. A run that completes is bit-identical to
-// EstimateSpread at any worker count.
+// EstimateSpreadContext is EstimateSpread under a caller context with
+// live telemetry: a non-nil observer receives one MCBatchDone event for
+// the batch, and cancellation is honored between simulation chunks,
+// returning a *SpreadCanceledError. A run that completes is
+// bit-identical to EstimateSpread at any worker count.
 func EstimateSpreadContext(ctx context.Context, m DiffusionModel, seeds []NodeID, rounds int, seed int64, o Observer) (float64, error) {
 	return diffusion.EstimateContext(ctx, m, seeds, rounds, seed, o)
 }
