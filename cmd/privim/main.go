@@ -68,6 +68,11 @@ func main() {
 	ckptFlags.Register(flag.CommandLine)
 	budgetFlags.Register(flag.CommandLine, "budget-file")
 	flag.Parse()
+	if *k < 0 {
+		fmt.Fprintf(os.Stderr, "privim: negative -k %d\n", *k)
+		flag.Usage()
+		os.Exit(2)
+	}
 	cliutil.ApplyWorkers(*workers)
 
 	stack, err := obsFlags.Setup("privim", nil)

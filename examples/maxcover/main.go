@@ -42,13 +42,17 @@ func main() {
 	model.Init(rng)
 	x := tensor.FromSlice(g.NumNodes(), dataset.NumStructuralFeatures, dataset.StructuralFeatures(g))
 
+	// The graph-derived operators are parameter-independent: build them
+	// once, outside the training loop.
+	prep := model.NewPrep(g)
+	cover := gnn.CoverMatrix(g)
 	opt := nn.NewAdam(model.Params, 0.02)
 	grads := nn.NewGrads(model.Params)
 	for epoch := 0; epoch < 250; epoch++ {
 		tp := autodiff.NewTape()
 		bound := nn.Bind(tp, model.Params)
-		scores := model.Forward(tp, bound, g, x)
-		loss := gnn.MaxCoverLoss(tp, g, scores, k, 1)
+		scores := model.Forward(tp, bound, g, x, prep)
+		loss := gnn.MaxCoverLoss(tp, g, scores, k, 1, cover)
 		tp.Backward(loss)
 		nn.Collect(bound, grads)
 		opt.Step(grads)

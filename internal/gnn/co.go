@@ -23,14 +23,34 @@ import (
 // penalty: its per-node gradient is β, so any node covering more than β
 // otherwise-uncovered nodes keeps net-positive pressure — a quadratic
 // penalty instead crushes every score into sigmoid saturation before the
-// coverage term can act.
-func MaxCoverLoss(tp *autodiff.Tape, g *graph.Graph, scores *autodiff.Node, k int, beta float64) *autodiff.Node {
-	return MaxCoverLossCover(tp, g, scores, k, beta, CoverMatrix(g))
+// coverage term can act. cover is the coverage operator CoverMatrix(g),
+// built once per subgraph when the loss is evaluated repeatedly.
+func MaxCoverLoss(tp *autodiff.Tape, g *graph.Graph, scores *autodiff.Node, k int, beta float64, cover *autodiff.SparseMat) *autodiff.Node {
+	if scores.Value.Cols != 1 || scores.Value.Rows != g.NumNodes() {
+		panic(fmt.Sprintf("gnn: MaxCoverLoss scores %dx%d for %d-node graph",
+			scores.Value.Rows, scores.Value.Cols, g.NumNodes()))
+	}
+	if k < 1 || beta < 0 {
+		panic(fmt.Sprintf("gnn: MaxCoverLoss(k=%d, beta=%v) invalid", k, beta))
+	}
+	if cover.NumRows != g.NumNodes() || cover.NumCols != g.NumNodes() {
+		panic(fmt.Sprintf("gnn: MaxCoverLoss operator %dx%d for %d-node graph",
+			cover.NumRows, cover.NumCols, g.NumNodes()))
+	}
+
+	logSurvive := autodiff.Log(autodiff.OneMinus(scores)) // log(1 − x_v)
+	sumLogs := autodiff.SpMM(cover, logSurvive)           // Σ over cover(u)
+	uncovered := autodiff.Sum(autodiff.Exp(sumLogs))      // Σ_u Π (1 − x_v)
+
+	// Soft cardinality: β·relu(Σx − k).
+	total := autodiff.Sum(scores)
+	excess := autodiff.ReLU(autodiff.AddScalar(total, -float64(k)))
+	penalty := autodiff.Scale(excess, beta)
+	return autodiff.Add(uncovered, penalty)
 }
 
 // CoverMatrix builds the binary coverage operator MaxCoverLoss aggregates
-// with: row u selects u and its (deduplicated) in-neighbors. Precompute it
-// once per subgraph when the loss is evaluated repeatedly.
+// with: row u selects u and its (deduplicated) in-neighbors.
 func CoverMatrix(g *graph.Graph) *autodiff.SparseMat {
 	n := g.NumNodes()
 	var dst, src []int32
@@ -50,32 +70,6 @@ func CoverMatrix(g *graph.Graph) *autodiff.SparseMat {
 		}
 	}
 	return autodiff.NewSparse(n, n, dst, src, w)
-}
-
-// MaxCoverLossCover is MaxCoverLoss with the coverage operator supplied by
-// the caller (from CoverMatrix on the same graph).
-func MaxCoverLossCover(tp *autodiff.Tape, g *graph.Graph, scores *autodiff.Node, k int, beta float64, cover *autodiff.SparseMat) *autodiff.Node {
-	if scores.Value.Cols != 1 || scores.Value.Rows != g.NumNodes() {
-		panic(fmt.Sprintf("gnn: MaxCoverLoss scores %dx%d for %d-node graph",
-			scores.Value.Rows, scores.Value.Cols, g.NumNodes()))
-	}
-	if k < 1 || beta < 0 {
-		panic(fmt.Sprintf("gnn: MaxCoverLoss(k=%d, beta=%v) invalid", k, beta))
-	}
-	if cover.NumRows != g.NumNodes() || cover.NumCols != g.NumNodes() {
-		panic(fmt.Sprintf("gnn: MaxCoverLossCover operator %dx%d for %d-node graph",
-			cover.NumRows, cover.NumCols, g.NumNodes()))
-	}
-
-	logSurvive := autodiff.Log(autodiff.OneMinus(scores)) // log(1 − x_v)
-	sumLogs := autodiff.SpMM(cover, logSurvive)           // Σ over cover(u)
-	uncovered := autodiff.Sum(autodiff.Exp(sumLogs))      // Σ_u Π (1 − x_v)
-
-	// Soft cardinality: β·relu(Σx − k).
-	total := autodiff.Sum(scores)
-	excess := autodiff.ReLU(autodiff.AddScalar(total, -float64(k)))
-	penalty := autodiff.Scale(excess, beta)
-	return autodiff.Add(uncovered, penalty)
 }
 
 // CoverageValue evaluates the (deterministic) coverage of a chosen node

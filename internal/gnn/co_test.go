@@ -18,7 +18,7 @@ func TestMaxCoverLossExtremes(t *testing.T) {
 	// x = 0: nothing covered, loss = n.
 	tp := autodiff.NewTape()
 	zero := tp.Leaf(tensor.New(n, 1))
-	l0 := MaxCoverLoss(tp, g, zero, 2, 1)
+	l0 := MaxCoverLoss(tp, g, zero, 2, 1, CoverMatrix(g))
 	if math.Abs(l0.Value.Data[0]-float64(n)) > 1e-9 {
 		t.Fatalf("loss at x=0 = %v, want %d", l0.Value.Data[0], n)
 	}
@@ -31,7 +31,7 @@ func TestMaxCoverLossExtremes(t *testing.T) {
 	x := tensor.New(n, 1)
 	x.Data[0] = 1 - 1e-9
 	hub := tp2.Leaf(x)
-	l1 := MaxCoverLoss(tp2, g, hub, 2, 1)
+	l1 := MaxCoverLoss(tp2, g, hub, 2, 1, CoverMatrix(g))
 	if l1.Value.Data[0] > 0.01 {
 		t.Fatalf("loss with hub chosen = %v, want ≈0", l1.Value.Data[0])
 	}
@@ -41,7 +41,7 @@ func TestMaxCoverLossExtremes(t *testing.T) {
 	all := tensor.New(n, 1)
 	all.Fill(0.9)
 	over := tp3.Leaf(all)
-	l2 := MaxCoverLoss(tp3, g, over, 1, 10)
+	l2 := MaxCoverLoss(tp3, g, over, 1, 10, CoverMatrix(g))
 	// Σx = 4.5, k=1 ⇒ penalty 10·3.5 = 35 dominates.
 	if l2.Value.Data[0] < 35 {
 		t.Fatalf("cardinality penalty missing: loss = %v", l2.Value.Data[0])
@@ -60,11 +60,11 @@ func TestMaxCoverLossGradCheck(t *testing.T) {
 	eval := func() float64 {
 		tp := autodiff.NewTape()
 		x := tp.Leaf(raw.Clone())
-		return MaxCoverLoss(tp, g, x, 2, 1.5).Value.Data[0]
+		return MaxCoverLoss(tp, g, x, 2, 1.5, CoverMatrix(g)).Value.Data[0]
 	}
 	tp := autodiff.NewTape()
 	x := tp.Leaf(raw)
-	loss := MaxCoverLoss(tp, g, x, 2, 1.5)
+	loss := MaxCoverLoss(tp, g, x, 2, 1.5, CoverMatrix(g))
 	tp.Backward(loss)
 	const eps = 1e-6
 	for i := range raw.Data {
@@ -166,7 +166,7 @@ func TestMaxCutTraining(t *testing.T) {
 	for epoch := 0; epoch < 300; epoch++ {
 		tp := autodiff.NewTape()
 		bound := nn.Bind(tp, m.Params)
-		scores := m.Forward(tp, bound, g, x)
+		scores := m.Forward(tp, bound, g, x, m.NewPrep(g))
 		loss := MaxCutLoss(tp, g, scores)
 		tp.Backward(loss)
 		nn.Collect(bound, grads)
@@ -187,9 +187,9 @@ func TestMaxCoverLossPanics(t *testing.T) {
 	tp := autodiff.NewTape()
 	x := tp.Leaf(tensor.New(g.NumNodes(), 1))
 	for _, fn := range []func(){
-		func() { MaxCoverLoss(tp, g, x, 0, 1) },
-		func() { MaxCoverLoss(tp, g, x, 1, -1) },
-		func() { MaxCoverLoss(tp, g, tp.Leaf(tensor.New(2, 1)), 1, 1) },
+		func() { MaxCoverLoss(tp, g, x, 0, 1, CoverMatrix(g)) },
+		func() { MaxCoverLoss(tp, g, x, 1, -1, CoverMatrix(g)) },
+		func() { MaxCoverLoss(tp, g, tp.Leaf(tensor.New(2, 1)), 1, 1, CoverMatrix(g)) },
 		func() { MaxCutLoss(tp, g, tp.Leaf(tensor.New(2, 1))) },
 	} {
 		func() {

@@ -79,14 +79,14 @@ func TestAllKindsGradCheck(t *testing.T) {
 			eval := func() float64 {
 				tp := autodiff.NewTape()
 				bound := nn.Bind(tp, m.Params)
-				out := m.Forward(tp, bound, g, x)
-				return IMLoss(tp, g, out, LossConfig{Steps: 2, Lambda: 0.3}).Value.Data[0]
+				out := m.Forward(tp, bound, g, x, m.NewPrep(g))
+				return IMLoss(tp, g, out, LossConfig{Steps: 2, Lambda: 0.3}, autodiff.InAdjacency(g)).Value.Data[0]
 			}
 
 			tp := autodiff.NewTape()
 			bound := nn.Bind(tp, m.Params)
-			out := m.Forward(tp, bound, g, x)
-			loss := IMLoss(tp, g, out, LossConfig{Steps: 2, Lambda: 0.3})
+			out := m.Forward(tp, bound, g, x, m.NewPrep(g))
+			loss := IMLoss(tp, g, out, LossConfig{Steps: 2, Lambda: 0.3}, autodiff.InAdjacency(g))
 			tp.Backward(loss)
 			grads := nn.NewGrads(m.Params)
 			nn.Collect(bound, grads)
@@ -122,7 +122,7 @@ func TestIMLossValidation(t *testing.T) {
 				t.Error("expected panic for wrong score shape")
 			}
 		}()
-		IMLoss(tp, g, bad, LossConfig{Steps: 1})
+		IMLoss(tp, g, bad, LossConfig{Steps: 1}, autodiff.InAdjacency(g))
 	}()
 	ok := tp.Leaf(tensor.New(g.NumNodes(), 1))
 	func() {
@@ -131,7 +131,7 @@ func TestIMLossValidation(t *testing.T) {
 				t.Error("expected panic for steps < 1")
 			}
 		}()
-		IMLoss(tp, g, ok, LossConfig{Steps: 0})
+		IMLoss(tp, g, ok, LossConfig{Steps: 0}, autodiff.InAdjacency(g))
 	}()
 }
 
@@ -142,7 +142,7 @@ func TestIMLossExtremes(t *testing.T) {
 	// All-zero seed probabilities: coverage term = n, penalty = 0.
 	tp := autodiff.NewTape()
 	zero := tp.Leaf(tensor.New(n, 1))
-	l0 := IMLoss(tp, g, zero, LossConfig{Steps: 1, Lambda: 0.5})
+	l0 := IMLoss(tp, g, zero, LossConfig{Steps: 1, Lambda: 0.5}, autodiff.InAdjacency(g))
 	if math.Abs(l0.Value.Data[0]-float64(n)) > 1e-9 {
 		t.Fatalf("loss at x=0 is %v, want %d", l0.Value.Data[0], n)
 	}
@@ -154,7 +154,7 @@ func TestIMLossExtremes(t *testing.T) {
 	onesM := tensor.New(n, 1)
 	onesM.Fill(1)
 	one := tp2.Leaf(onesM)
-	l1 := IMLoss(tp2, g, one, LossConfig{Steps: 1, Lambda: 0.5})
+	l1 := IMLoss(tp2, g, one, LossConfig{Steps: 1, Lambda: 0.5}, autodiff.InAdjacency(g))
 	want := 4*(1-math.Tanh(1)) + (1 - math.Tanh(0.5)) + 0.5*float64(n)
 	if math.Abs(l1.Value.Data[0]-want) > 1e-9 {
 		t.Fatalf("loss at x=1 is %v, want %v", l1.Value.Data[0], want)
@@ -171,7 +171,7 @@ func TestIMLossSeedingHubHelps(t *testing.T) {
 		x := tensor.New(n, 1)
 		x.Data[seedIdx] = 0.9
 		s := tp.Leaf(x)
-		return IMLoss(tp, g, s, LossConfig{Steps: 1, Lambda: 0.1}).Value.Data[0]
+		return IMLoss(tp, g, s, LossConfig{Steps: 1, Lambda: 0.1}, autodiff.InAdjacency(g)).Value.Data[0]
 	}
 	hub, leaf := lossFor(0), lossFor(3)
 	if hub >= leaf {
@@ -215,8 +215,8 @@ func TestTrainingRanksHubFirst(t *testing.T) {
 	for epoch := 0; epoch < 200; epoch++ {
 		tp := autodiff.NewTape()
 		bound := nn.Bind(tp, m.Params)
-		out := m.Forward(tp, bound, g, x)
-		loss := IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.5})
+		out := m.Forward(tp, bound, g, x, m.NewPrep(g))
+		loss := IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.5}, autodiff.InAdjacency(g))
 		tp.Backward(loss)
 		nn.Collect(bound, grads)
 		opt.Step(grads)
@@ -287,13 +287,13 @@ func TestMultiHeadGradCheck(t *testing.T) {
 	eval := func() float64 {
 		tp := autodiff.NewTape()
 		bound := nn.Bind(tp, m.Params)
-		out := m.Forward(tp, bound, g, x)
-		return IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.2}).Value.Data[0]
+		out := m.Forward(tp, bound, g, x, m.NewPrep(g))
+		return IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.2}, autodiff.InAdjacency(g)).Value.Data[0]
 	}
 	tp := autodiff.NewTape()
 	bound := nn.Bind(tp, m.Params)
-	out := m.Forward(tp, bound, g, x)
-	loss := IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.2})
+	out := m.Forward(tp, bound, g, x, m.NewPrep(g))
+	loss := IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.2}, autodiff.InAdjacency(g))
 	tp.Backward(loss)
 	grads := nn.NewGrads(m.Params)
 	nn.Collect(bound, grads)
@@ -327,5 +327,5 @@ func TestForwardShapePanic(t *testing.T) {
 			t.Fatal("expected panic for wrong feature dim")
 		}
 	}()
-	m.Forward(tp, bound, g, tensor.New(g.NumNodes(), 2))
+	m.Forward(tp, bound, g, tensor.New(g.NumNodes(), 2), m.NewPrep(g))
 }

@@ -33,16 +33,12 @@ type LossConfig struct {
 // drives uncoverable low-in-degree nodes to x≈1, which inverts the
 // ranking.
 //
+// adj is the in-adjacency aggregation operator, autodiff.InAdjacency(g):
+// training loops evaluate the loss on the same subgraph every iteration,
+// so they build it once per subgraph.
+//
 // The returned node is a 1×1 scalar suitable for Tape.Backward.
-func IMLoss(tp *autodiff.Tape, g *graph.Graph, scores *autodiff.Node, cfg LossConfig) *autodiff.Node {
-	return IMLossAdj(tp, g, scores, cfg, autodiff.InAdjacency(g))
-}
-
-// IMLossAdj is IMLoss with the in-adjacency aggregation operator supplied
-// by the caller (from autodiff.InAdjacency on the same graph). Training
-// loops evaluate the loss on the same subgraph every iteration; caching
-// the operator there removes the dominant per-sample allocation.
-func IMLossAdj(tp *autodiff.Tape, g *graph.Graph, scores *autodiff.Node, cfg LossConfig, adj *autodiff.SparseMat) *autodiff.Node {
+func IMLoss(tp *autodiff.Tape, g *graph.Graph, scores *autodiff.Node, cfg LossConfig, adj *autodiff.SparseMat) *autodiff.Node {
 	if cfg.Steps < 1 {
 		panic(fmt.Sprintf("gnn: IMLoss steps %d < 1", cfg.Steps))
 	}
@@ -51,7 +47,7 @@ func IMLossAdj(tp *autodiff.Tape, g *graph.Graph, scores *autodiff.Node, cfg Los
 			scores.Value.Rows, scores.Value.Cols, g.NumNodes()))
 	}
 	if adj.NumRows != g.NumNodes() || adj.NumCols != g.NumNodes() {
-		panic(fmt.Sprintf("gnn: IMLossAdj adjacency %dx%d for %d-node graph",
+		panic(fmt.Sprintf("gnn: IMLoss adjacency %dx%d for %d-node graph",
 			adj.NumRows, adj.NumCols, g.NumNodes()))
 	}
 	// a_0 = x (probability of being active at step 0 = being a seed).

@@ -229,30 +229,23 @@ func (m *Model) NewPrep(g *graph.Graph) *Prep {
 
 // Forward runs the model on subgraph g with node features x (n×InputDim)
 // and returns the n×1 vector of seed-selection probabilities in (0,1).
-// bound must come from nn.Bind(tp, m.Params). The graph-derived operators
-// are rebuilt per call; training loops should precompute a Prep once per
-// subgraph and use ForwardPrep.
-func (m *Model) Forward(tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix) *autodiff.Node {
-	return m.ForwardPrep(tp, bound, g, x, m.NewPrep(g))
-}
-
-// ForwardPrep is Forward with the graph-derived structures supplied by a
-// cached Prep (from NewPrep on the same model kind and graph).
-func (m *Model) ForwardPrep(tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix, p *Prep) *autodiff.Node {
-	out, _ := m.forwardPrep(context.Background(), tp, bound, g, x, p)
+// bound must come from nn.Bind(tp, m.Params); p must come from NewPrep on
+// the same graph, built once per subgraph and reused across iterations.
+func (m *Model) Forward(tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix, p *Prep) *autodiff.Node {
+	out, _ := m.forward(context.Background(), tp, bound, g, x, p)
 	return out
 }
 
-// forwardPrep is the one forward body: ctx is checked before every
-// layer, so a canceled inference stops within one layer's SpMM/GEMM
-// work. An uncancelable ctx never errors.
-func (m *Model) forwardPrep(ctx context.Context, tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix, p *Prep) (*autodiff.Node, error) {
+// forward is the one forward body: ctx is checked before every layer, so
+// a canceled inference stops within one layer's SpMM/GEMM work. An
+// uncancelable ctx never errors.
+func (m *Model) forward(ctx context.Context, tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix, p *Prep) (*autodiff.Node, error) {
 	if x.Rows != g.NumNodes() || x.Cols != m.Cfg.InputDim {
 		panic(fmt.Sprintf("gnn: Forward features %dx%d for graph with %d nodes, input dim %d",
 			x.Rows, x.Cols, g.NumNodes(), m.Cfg.InputDim))
 	}
 	if p.kind != m.Cfg.Kind || p.n != g.NumNodes() {
-		panic(fmt.Sprintf("gnn: ForwardPrep prep built for kind %q / %d nodes, model is %q / %d",
+		panic(fmt.Sprintf("gnn: Forward prep built for kind %q / %d nodes, model is %q / %d",
 			p.kind, p.n, m.Cfg.Kind, g.NumNodes()))
 	}
 	h := tp.Leaf(x)
@@ -343,7 +336,7 @@ func (m *Model) Score(g *graph.Graph, x *tensor.Matrix) []float64 {
 func (m *Model) ScoreContext(ctx context.Context, g *graph.Graph, x *tensor.Matrix) ([]float64, error) {
 	tp := autodiff.NewTape()
 	bound := nn.Bind(tp, m.Params)
-	out, err := m.forwardPrep(ctx, tp, bound, g, x, m.NewPrep(g))
+	out, err := m.forward(ctx, tp, bound, g, x, m.NewPrep(g))
 	if err != nil {
 		return nil, err
 	}

@@ -34,13 +34,14 @@ func TestRRSetGenerationSteadyStateZeroAlloc(t *testing.T) {
 
 // TestRISSelectSteadyStateAllocs pins repeated Select calls on one RIS
 // solver: everything except the returned seed slice (caller-owned by
-// contract) is recycled through the solver's risState.
+// contract) is recycled through the solver's rrIndex.
 func TestRISSelectSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc floors do not hold under -race (sync.Pool drops Puts)")
 	}
+	withLimit(t, 1)
 	g := parallelTestGraph(t)
-	r := &RIS{G: g, Samples: 400, Seed: 11, Workers: 1}
+	r := &RIS{G: g, Samples: 400, Seed: 11}
 	var seeds []graph.NodeID
 	run := func() { seeds = r.Select(3) }
 	run()

@@ -1,8 +1,8 @@
 // Package im implements the classical influence-maximization solvers the
 // paper compares against: CELF lazy greedy (the ground truth with its
-// (1−1/e) guarantee, §V-A), plain greedy, degree and degree-discount
-// heuristics, and an RIS (reverse-influence-sampling) baseline. It also
-// provides the coverage-ratio metric used throughout the evaluation.
+// (1−1/e) guarantee, §V-A), degree and degree-discount heuristics, and the
+// RIS/IMM reverse-influence-sampling family. It also provides the
+// coverage-ratio metric used throughout the evaluation.
 package im
 
 import (
@@ -22,7 +22,8 @@ import (
 
 // Solver selects a seed set of size k for a diffusion model.
 type Solver interface {
-	// Select returns k seed nodes (fewer if the graph is smaller).
+	// Select returns k seed nodes (fewer if the graph is smaller, none
+	// when k <= 0).
 	Select(k int) []graph.NodeID
 	// Name identifies the solver for reporting.
 	Name() string
@@ -30,12 +31,12 @@ type Solver interface {
 
 // CanceledError reports a seed selection stopped early because its
 // context was canceled or its deadline expired. Seeds holds the seeds
-// picked before the stop — a valid greedy prefix for CELF/Greedy (every
-// pick was made against the full candidate pool), nil when the solver
-// was still generating RR sets or initial gains. Unwrap yields the
-// context error, so errors.Is(err, context.Canceled) works through it.
+// picked before the stop — a valid greedy prefix (every pick was made
+// against the full candidate pool or the final RR-set sample), nil when
+// the solver was still generating RR sets or initial gains. Unwrap yields
+// the context error, so errors.Is(err, context.Canceled) works through it.
 type CanceledError struct {
-	// Solver is the solver name ("celf", "greedy", "ris", "imm").
+	// Solver is the solver name ("celf", "ris", "imm").
 	Solver string
 	// Seeds is the partial greedy prefix selected before the stop.
 	Seeds []graph.NodeID
@@ -64,6 +65,15 @@ func cancelSelect(o obs.Observer, clk *obs.CancelClock, solver, phase string, se
 		Latency: clk.Latency(),
 	})
 	return &CanceledError{Solver: solver, Seeds: seeds, K: k, Err: err}
+}
+
+// clampK is every solver's seed-count rule: k <= 0 selects nothing and
+// k > n is clamped to the n available nodes.
+func clampK(k, n int) int {
+	if k <= 0 {
+		return 0
+	}
+	return min(k, n)
 }
 
 // celfEntry is one lazy-greedy priority-queue element.
@@ -103,10 +113,6 @@ type CELF struct {
 	Candidates []graph.NodeID
 	// numNodes is required when Candidates is nil.
 	NumNodes int
-	// Workers caps the pool for the initial-gain pass (0 = process
-	// default). Results are identical at any width: every candidate's solo
-	// spread comes from its own per-round rng streams.
-	Workers int
 
 	// Evaluations counts spread estimates performed by the last Select call
 	// (exported for the lazy-evaluation efficiency tests).
@@ -134,8 +140,9 @@ func (c *CELF) Select(k int) []graph.NodeID {
 // Cancellation is checked before every initial-gain chunk and every lazy
 // pick, so a fired context stops the solver within one spread estimate.
 // It returns a *CanceledError whose Seeds field is the valid greedy
-// prefix picked so far; a selection that completes is bit-identical to
-// the pre-context solver at any worker count.
+// prefix picked so far; a selection that completes is bit-identical at
+// any worker count (the pool width is parallel.Limit()): every
+// candidate's solo spread comes from its own per-round rng streams.
 func (c *CELF) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -155,10 +162,7 @@ func (c *CELF) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error)
 			cands[i] = graph.NodeID(i)
 		}
 	}
-	if k > len(cands) {
-		k = len(cands)
-	}
-	if k <= 0 {
+	if k = clampK(k, len(cands)); k == 0 {
 		return nil, nil
 	}
 	rounds := c.Rounds
@@ -166,7 +170,7 @@ func (c *CELF) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error)
 		rounds = 100
 	}
 	c.Evaluations = 0
-	workers := parallel.Resolve(c.Workers)
+	workers := parallel.Limit()
 	spread := func(seeds []graph.NodeID) float64 {
 		c.Evaluations++
 		// Serial (lazy) phase: let the estimator itself use the pool.
@@ -230,111 +234,6 @@ func (c *CELF) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error)
 	return seeds, nil
 }
 
-// Greedy is the plain (non-lazy) greedy solver; kept as the correctness
-// oracle for CELF in tests.
-type Greedy struct {
-	Model    diffusion.Model
-	Rounds   int
-	Seed     int64
-	NumNodes int
-	// Workers caps the pool for the per-round gain pass (0 = process
-	// default); the argmax stays serial so ties break toward the lowest
-	// node ID exactly as in the serial solver.
-	Workers int
-
-	// Evaluations counts spread estimates performed by the last Select
-	// call (the baseline CELF's LookupsSaved is measured against).
-	Evaluations int
-	// Obs, when non-nil, receives one SeedSelected event per pick.
-	Obs obs.Observer
-}
-
-// Name implements Solver.
-func (g *Greedy) Name() string { return "greedy" }
-
-// Select implements Solver.
-func (g *Greedy) Select(k int) []graph.NodeID {
-	seeds, _ := g.SelectContext(context.Background(), k)
-	return seeds
-}
-
-// SelectContext is Select under a caller context (see CELF.SelectContext).
-// Cancellation is checked at every gain-pass chunk and every pick; the
-// *CanceledError carries the greedy prefix picked before the stop.
-func (g *Greedy) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := obs.StartSpanCtx(ctx, g.Obs, "im.greedy.select")
-	defer span.End()
-	o := g.Obs
-	if o == nil {
-		o = span.Observer()
-	}
-	clk := obs.WatchCancel(ctx)
-	defer clk.Stop()
-	if k > g.NumNodes {
-		k = g.NumNodes
-	}
-	rounds := g.Rounds
-	if rounds < 1 {
-		rounds = 100
-	}
-	g.Evaluations = 0
-	workers := parallel.Resolve(g.Workers)
-	chosen := make(map[graph.NodeID]bool, k)
-	seeds := make([]graph.NodeID, 0, k)
-	gains := make([]float64, g.NumNodes)
-	// Gain pass: independent per candidate, fanned out with serial inner
-	// estimates (no nesting). Each estimate is per-round-seeded, so gains
-	// match the serial solver exactly. Each worker reuses one candidate
-	// slice — seeds prefix plus a last slot that swaps per candidate —
-	// instead of re-appending a fresh O(k) slice every evaluation.
-	cands := make([][]graph.NodeID, workers)
-	gainPass := func(w, lo, hi int) {
-		cand := append(cands[w][:0], seeds...)
-		cand = append(cand, 0)
-		for v := lo; v < hi; v++ {
-			if chosen[graph.NodeID(v)] {
-				gains[v] = -1
-				continue
-			}
-			cand[len(cand)-1] = graph.NodeID(v)
-			gains[v] = diffusion.EstimateWorkers(g.Model, cand, rounds, g.Seed, 1)
-		}
-		cands[w] = cand
-	}
-	base := 0.0
-	for len(seeds) < k {
-		if _, err := parallel.ForObservedCtx(ctx, span, "im.greedy.gains", workers, g.NumNodes, 4, gainPass); err != nil {
-			return nil, cancelSelect(o, clk, "greedy", "select", seeds, k, err)
-		}
-		g.Evaluations += g.NumNodes - len(seeds)
-		// Serial argmax: first strict improvement wins, preserving the
-		// lowest-node-ID tie-break of the serial loop.
-		bestGain := -1.0
-		var best graph.NodeID
-		for v := 0; v < g.NumNodes; v++ {
-			if !chosen[graph.NodeID(v)] && gains[v] > bestGain {
-				bestGain = gains[v]
-				best = graph.NodeID(v)
-			}
-		}
-		chosen[best] = true
-		seeds = append(seeds, best)
-		if g.Obs != nil {
-			obs.Emit(g.Obs, obs.SeedSelected{
-				K:            len(seeds),
-				Node:         int64(best),
-				MarginalGain: bestGain - base,
-				Evaluations:  g.Evaluations,
-			})
-		}
-		base = bestGain
-	}
-	return seeds, nil
-}
-
 // Degree selects the k highest out-degree nodes — the classic cheap
 // heuristic.
 type Degree struct {
@@ -371,9 +270,7 @@ func (d *DegreeDiscount) Select(k int) []graph.NodeID {
 		p = 0.1
 	}
 	n := d.G.NumNodes()
-	if k > n {
-		k = n
-	}
+	k = clampK(k, n)
 	dd := make([]float64, n)  // discounted degree
 	tv := make([]int, n)      // number of selected in-neighbors
 	chosen := make([]bool, n) //
@@ -384,14 +281,13 @@ func (d *DegreeDiscount) Select(k int) []graph.NodeID {
 	}
 	seeds := make([]graph.NodeID, 0, k)
 	for len(seeds) < k {
-		best, bestVal := -1, -1.0
+		// Discounted degrees can go negative (below -1 for a leaf with a
+		// chosen in-neighbor), so the first unchosen node seeds the argmax.
+		best, bestVal := -1, 0.0
 		for v := 0; v < n; v++ {
-			if !chosen[v] && dd[v] > bestVal {
+			if !chosen[v] && (best < 0 || dd[v] > bestVal) {
 				best, bestVal = v, dd[v]
 			}
-		}
-		if best < 0 {
-			break
 		}
 		chosen[best] = true
 		seeds = append(seeds, graph.NodeID(best))
@@ -420,27 +316,13 @@ type RIS struct {
 	// paper's j=1 setting.
 	MaxDepth int
 	Seed     int64
-	// Workers caps the pool for RR-set generation (0 = process default).
-	// Each RR set draws from its own index-derived rng stream, so the
-	// sampled sets are identical at any width.
-	Workers int
 	// Obs, when non-nil, receives one ParallelFor event per Select call.
 	Obs obs.Observer
 
-	// sel persists the RR-set arena, cover index, per-worker scratches,
+	// ix persists the RR-set arena, cover index, per-worker scratches,
 	// and greedy buffers across Select calls (see DESIGN.md §"Scratch
 	// arenas"), so repeated selections on one solver reuse all storage.
-	sel *risState
-}
-
-// risState is the reusable storage behind RIS.Select.
-type risState struct {
-	arena   rrArena
-	cover   coverIndex
-	scratch *parallel.Scratch[*rrScratch]
-	locs    []rrLoc
-	covered []bool
-	count   []int
+	ix *rrIndex
 }
 
 // Name implements Solver.
@@ -469,91 +351,23 @@ func (r *RIS) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) 
 	clk := obs.WatchCancel(ctx)
 	defer clk.Stop()
 	n := r.G.NumNodes()
-	if k > n {
-		k = n
+	if k = clampK(k, n); k == 0 {
+		return nil, nil
 	}
 	samples := r.Samples
 	if samples < 1 {
 		samples = 10 * n
 	}
-	// Build RR sets: from a uniform target, walk reverse arcs, keeping each
-	// with its influence probability. Set i draws target and arcs from its
-	// own stream, so generation parallelizes without changing the sample.
-	if r.sel == nil {
-		nodes := n
-		r.sel = &risState{scratch: parallel.NewScratch(func() *rrScratch { return newRRScratch(nodes) })}
+	if r.ix == nil || r.ix.n != n {
+		r.ix = newRRIndex(n)
 	}
-	st := r.sel
-	st.arena.reset()
-	var genErr error
-	st.locs, _, genErr = generateRRSets(ctx, r.G, &st.arena, samples, 0, r.MaxDepth, r.Seed, r.Workers, st.scratch, st.locs, span, "im.ris.rrsets")
-	if genErr != nil {
-		obs.Emit(o, obs.Canceled{
-			Phase:   "rrgen",
-			Done:    st.arena.numSets(),
-			Total:   samples,
-			Reason:  genErr.Error(),
-			Latency: clk.Latency(),
-		})
-		return nil, &CanceledError{Solver: "ris", K: k, Err: genErr}
+	r.ix.arena.reset()
+	if err := r.ix.generate(ctx, r.G, samples, r.MaxDepth, r.Seed, span, "im.ris.rrsets"); err != nil {
+		return nil, cancelSelect(o, clk, "ris", "rrgen", nil, k, err)
 	}
-	st.cover.build(&st.arena, n)
-	// Greedy max coverage over the RR sets.
-	if cap(st.covered) < samples {
-		st.covered = make([]bool, samples)
-	}
-	covered := st.covered[:samples]
-	for i := range covered {
-		covered[i] = false
-	}
-	if cap(st.count) < n {
-		st.count = make([]int, n)
-	}
-	count := st.count[:n]
-	for v := 0; v < n; v++ {
-		count[v] = len(st.cover.of(graph.NodeID(v)))
-	}
-	seeds := make([]graph.NodeID, 0, k)
-	for len(seeds) < k {
-		if err := ctx.Err(); err != nil {
-			return nil, cancelSelect(o, clk, "ris", "select", seeds, k, err)
-		}
-		best, bestVal := -1, -1
-		for v := 0; v < n; v++ {
-			if count[v] > bestVal {
-				best, bestVal = v, count[v]
-			}
-		}
-		if best < 0 || bestVal == 0 {
-			// All RR sets covered; fill remaining slots by degree for
-			// determinism.
-			for v := 0; v < n && len(seeds) < k; v++ {
-				if count[v] >= 0 {
-					dup := false
-					for _, s := range seeds {
-						if s == graph.NodeID(v) {
-							dup = true
-							break
-						}
-					}
-					if !dup {
-						seeds = append(seeds, graph.NodeID(v))
-					}
-				}
-			}
-			break
-		}
-		seeds = append(seeds, graph.NodeID(best))
-		for _, si := range st.cover.of(graph.NodeID(best)) {
-			if covered[si] {
-				continue
-			}
-			covered[si] = true
-			for _, v := range st.arena.set(int(si)) {
-				count[v]--
-			}
-		}
-		count[best] = -1 // never re-pick
+	seeds, _, err := r.ix.maxCover(ctx, k)
+	if err != nil {
+		return nil, cancelSelect(o, clk, "ris", "select", seeds, k, err)
 	}
 	return seeds, nil
 }
@@ -784,9 +598,7 @@ func reverseReachable(g *graph.Graph, target graph.NodeID, maxDepth int, rng *ra
 // topKBy returns the k node IDs with the highest score, ties broken by ID
 // for determinism.
 func topKBy(n, k int, score func(graph.NodeID) float64) []graph.NodeID {
-	if k > n {
-		k = n
-	}
+	k = clampK(k, n)
 	ids := make([]graph.NodeID, n)
 	for i := range ids {
 		ids[i] = graph.NodeID(i)

@@ -46,6 +46,29 @@ func TestCELFPicksBothHubs(t *testing.T) {
 	}
 }
 
+// plainGreedy is the non-lazy greedy oracle for CELF: each pick
+// re-estimates every remaining node's spread with the seeds chosen so far
+// and keeps the first strict maximum (lowest node ID on ties).
+func plainGreedy(model diffusion.Model, n, k, rounds int, seed int64) []graph.NodeID {
+	chosen := make([]bool, n)
+	var seeds []graph.NodeID
+	for len(seeds) < k {
+		best, bestSpread := -1, -1.0
+		for v := 0; v < n; v++ {
+			if chosen[v] {
+				continue
+			}
+			cand := append(append([]graph.NodeID{}, seeds...), graph.NodeID(v))
+			if s := diffusion.Estimate(model, cand, rounds, seed); s > bestSpread {
+				best, bestSpread = v, s
+			}
+		}
+		chosen[best] = true
+		seeds = append(seeds, graph.NodeID(best))
+	}
+	return seeds
+}
+
 func TestCELFMatchesGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.NewWithNodes(25, true)
@@ -57,8 +80,7 @@ func TestCELFMatchesGreedy(t *testing.T) {
 	}
 	model := &diffusion.IC{G: g}
 	c := &CELF{Model: model, Rounds: 1, Seed: 2, NumNodes: 25}
-	gr := &Greedy{Model: model, Rounds: 1, Seed: 2, NumNodes: 25}
-	cs, gs := c.Select(3), gr.Select(3)
+	cs, gs := c.Select(3), plainGreedy(model, 25, 3, 1, 2)
 	// Same spread value (seed identity may differ on exact ties).
 	cSpread := diffusion.Estimate(model, cs, 1, 2)
 	gSpread := diffusion.Estimate(model, gs, 1, 2)
@@ -183,6 +205,42 @@ func TestTopKScores(t *testing.T) {
 	}
 }
 
+// TestSolversKRule checks the one seed-count rule every solver and
+// TopKScores share: k <= 0 selects nothing, k > n selects all n nodes.
+func TestSolversKRule(t *testing.T) {
+	g := twoStars()
+	n := g.NumNodes()
+	model := &diffusion.IC{G: g}
+	solvers := []Solver{
+		&CELF{Model: model, Rounds: 2, Seed: 1, NumNodes: n},
+		&Degree{G: g},
+		&DegreeDiscount{G: g},
+		&RIS{G: g, Samples: 50, Seed: 1},
+		&IMM{G: g, Seed: 1, MaxSamples: 100},
+		&StaticGreedy{G: g, Worlds: 4, Seed: 1},
+		&NoisyGreedy{Model: model, Epsilon: 1, Rounds: 2, Seed: 1, NumNodes: n},
+	}
+	scores := make([]float64, n)
+	for i := range scores {
+		scores[i] = float64(i % 3)
+	}
+	for _, k := range []int{-1, 0, n + 5} {
+		want := min(max(k, 0), n)
+		check := func(name string, seeds []graph.NodeID) {
+			if len(seeds) != want {
+				t.Errorf("%s: k=%d returned %d seeds, want %d", name, k, len(seeds), want)
+			}
+			if err := ValidateSeeds(seeds, n); err != nil {
+				t.Errorf("%s: k=%d: %v", name, k, err)
+			}
+		}
+		check("topk-scores", TopKScores(scores, k))
+		for _, s := range solvers {
+			check(s.Name(), s.Select(k))
+		}
+	}
+}
+
 func TestCoverageRatio(t *testing.T) {
 	if got := CoverageRatio(50, 100); got != 50 {
 		t.Fatalf("CoverageRatio = %v, want 50", got)
@@ -208,7 +266,6 @@ func TestSolverNames(t *testing.T) {
 	g := twoStars()
 	solvers := []Solver{
 		&CELF{Model: &diffusion.IC{G: g}, NumNodes: 10},
-		&Greedy{Model: &diffusion.IC{G: g}, NumNodes: 10},
 		&Degree{G: g},
 		&DegreeDiscount{G: g},
 		&RIS{G: g},

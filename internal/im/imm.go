@@ -30,12 +30,9 @@ type IMM struct {
 	// degenerate graphs (default 200·|V|).
 	MaxSamples int
 
-	// Workers caps the pool for RR-set generation (0 = process default).
-	// Set i always draws from the stream derived from (Seed, i), so both
-	// phases produce identical sets at any width.
-	Workers int
 	// Obs, when non-nil, receives one ParallelFor event per generation
-	// batch.
+	// batch. Set i always draws from the stream derived from (Seed, i), so
+	// both phases produce identical sets at any pool width.
 	Obs obs.Observer
 }
 
@@ -44,7 +41,8 @@ func (s *IMM) Name() string { return "imm" }
 
 // rrIndex accumulates reverse-reachable sets in a flat arena with a CSR
 // coverage index, plus the per-worker generation scratches and greedy
-// buffers, all reused across the incremental batches of IMM's two phases.
+// buffers, all reused across RIS's Select calls and across the
+// incremental batches of IMM's two phases.
 type rrIndex struct {
 	n       int
 	arena   rrArena
@@ -62,10 +60,12 @@ func newRRIndex(n int) *rrIndex {
 	}
 }
 
-func (ix *rrIndex) generate(ctx context.Context, g *graph.Graph, count, maxDepth int, seed int64, workers int, parent *obs.Span) error {
-	base := ix.arena.numSets()
+// generate appends count RR sets to the arena (set identities continue
+// from the sets already held) and rebuilds the cover index. site names
+// the generation span and ParallelFor event.
+func (ix *rrIndex) generate(ctx context.Context, g *graph.Graph, count, maxDepth int, seed int64, parent *obs.Span, site string) error {
 	var err error
-	ix.locs, _, err = generateRRSets(ctx, g, &ix.arena, count, base, maxDepth, seed, workers, ix.scratch, ix.locs, parent, "im.imm.rrsets")
+	ix.locs, _, err = generateRRSets(ctx, g, &ix.arena, count, ix.arena.numSets(), maxDepth, seed, 0, ix.scratch, ix.locs, parent, site)
 	if err != nil {
 		return err
 	}
@@ -74,9 +74,12 @@ func (ix *rrIndex) generate(ctx context.Context, g *graph.Graph, count, maxDepth
 }
 
 // maxCover greedily picks k nodes covering the most RR sets and returns
-// them with the covered fraction.
-func (ix *rrIndex) maxCover(n, k int) ([]graph.NodeID, float64) {
-	numSets := ix.arena.numSets()
+// them with the covered fraction; ties go to the lowest node ID, and once
+// every set is covered the remaining slots fill in node-ID order. ctx is
+// checked before every pick: a fired context returns the prefix picked so
+// far with the context error.
+func (ix *rrIndex) maxCover(ctx context.Context, k int) ([]graph.NodeID, float64, error) {
+	n, numSets := ix.n, ix.arena.numSets()
 	if cap(ix.covered) < numSets {
 		ix.covered = make([]bool, numSets)
 	}
@@ -93,14 +96,17 @@ func (ix *rrIndex) maxCover(n, k int) ([]graph.NodeID, float64) {
 	}
 	seeds := make([]graph.NodeID, 0, k)
 	totalCovered := 0
-	for len(seeds) < k && len(seeds) < n {
+	for len(seeds) < k {
+		if err := ctx.Err(); err != nil {
+			return seeds, 0, err
+		}
 		best, bestVal := -1, 0
 		for v := 0; v < n; v++ {
 			if count[v] > bestVal {
 				best, bestVal = v, count[v]
 			}
 		}
-		if best < 0 || bestVal == 0 {
+		if best < 0 {
 			// Everything covered: fill arbitrarily but deterministically.
 			for v := 0; v < n && len(seeds) < k; v++ {
 				if count[v] >= 0 {
@@ -116,18 +122,16 @@ func (ix *rrIndex) maxCover(n, k int) ([]graph.NodeID, float64) {
 				covered[si] = true
 				totalCovered++
 				for _, v := range ix.arena.set(int(si)) {
-					if count[v] > 0 {
-						count[v]--
-					}
+					count[v]--
 				}
 			}
 		}
 		count[best] = -1
 	}
 	if numSets == 0 {
-		return seeds, 0
+		return seeds, 0, nil
 	}
-	return seeds, float64(totalCovered) / float64(numSets)
+	return seeds, float64(totalCovered) / float64(numSets), nil
 }
 
 // Select implements Solver following IMM's two phases.
@@ -137,8 +141,9 @@ func (s *IMM) Select(k int) []graph.NodeID {
 }
 
 // SelectContext is Select under a caller context (see CELF.SelectContext).
-// Cancellation is checked at every RR-generation chunk and between the
-// geometric-search iterations of the sampling phase.
+// Cancellation is checked at every RR-generation chunk, between the
+// geometric-search iterations of the sampling phase, and at every
+// max-coverage pick.
 func (s *IMM) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -152,11 +157,8 @@ func (s *IMM) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) 
 	clk := obs.WatchCancel(ctx)
 	defer clk.Stop()
 	n := s.G.NumNodes()
-	if n == 0 || k <= 0 {
+	if k = clampK(k, n); k == 0 {
 		return nil, nil
-	}
-	if k > n {
-		k = n
 	}
 	eps := s.Epsilon
 	if eps <= 0 || eps >= 1 {
@@ -193,11 +195,14 @@ func (s *IMM) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) 
 			thetaI = maxSamples
 		}
 		if need := thetaI - ix.arena.numSets(); need > 0 {
-			if err := ix.generate(ctx, s.G, need, s.MaxDepth, s.Seed, s.Workers, span); err != nil {
+			if err := ix.generate(ctx, s.G, need, s.MaxDepth, s.Seed, span, "im.imm.rrsets"); err != nil {
 				return nil, cancelSelect(o, clk, "imm", "rrgen", nil, k, err)
 			}
 		}
-		_, frac := ix.maxCover(n, k)
+		_, frac, err := ix.maxCover(ctx, k)
+		if err != nil {
+			return nil, cancelSelect(o, clk, "imm", "select", nil, k, err)
+		}
 		if fn*frac >= (1+epsPrime)*x {
 			lb = fn * frac / (1 + epsPrime)
 			break
@@ -216,11 +221,14 @@ func (s *IMM) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) 
 		theta = maxSamples
 	}
 	if need := theta - ix.arena.numSets(); need > 0 {
-		if err := ix.generate(ctx, s.G, need, s.MaxDepth, s.Seed, s.Workers, span); err != nil {
+		if err := ix.generate(ctx, s.G, need, s.MaxDepth, s.Seed, span, "im.imm.rrsets"); err != nil {
 			return nil, cancelSelect(o, clk, "imm", "rrgen", nil, k, err)
 		}
 	}
-	seeds, _ := ix.maxCover(n, k)
+	seeds, _, err := ix.maxCover(ctx, k)
+	if err != nil {
+		return nil, cancelSelect(o, clk, "imm", "select", seeds, k, err)
+	}
 	return seeds, nil
 }
 

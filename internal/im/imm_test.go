@@ -1,6 +1,8 @@
 package im
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -82,10 +84,29 @@ func TestLogChooseF(t *testing.T) {
 	}
 }
 
+// TestRRIndexMaxCoverCanceled checks the pick loop's context check: a
+// pre-canceled ctx returns the context error before the first pick.
+func TestRRIndexMaxCoverCanceled(t *testing.T) {
+	g := parallelTestGraph(t)
+	ix := newRRIndex(g.NumNodes())
+	if err := ix.generate(context.Background(), g, 100, 0, 1, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	seeds, _, err := ix.maxCover(ctx, 3)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("maxCover err = %v, want context.Canceled", err)
+	}
+	if len(seeds) != 0 {
+		t.Fatalf("maxCover picked %v under a canceled ctx", seeds)
+	}
+}
+
 func TestRRIndexMaxCoverEmpty(t *testing.T) {
 	ix := newRRIndex(3)
-	seeds, frac := ix.maxCover(3, 2)
-	if frac != 0 || len(seeds) != 2 {
+	seeds, frac, err := ix.maxCover(context.Background(), 2)
+	if err != nil || frac != 0 || len(seeds) != 2 {
 		t.Fatalf("empty index maxCover = %v, %v", seeds, frac)
 	}
 }

@@ -29,10 +29,7 @@ func (n *NoisyGreedy) Name() string { return "noisy-greedy" }
 
 // Select implements Solver.
 func (n *NoisyGreedy) Select(k int) []graph.NodeID {
-	if k > n.NumNodes {
-		k = n.NumNodes
-	}
-	if k <= 0 {
+	if k = clampK(k, n.NumNodes); k == 0 {
 		return nil
 	}
 	rounds := n.Rounds

@@ -39,30 +39,35 @@ func sameSeeds(t *testing.T, name string, a, b []graph.NodeID) {
 	}
 }
 
+// withLimit pins the process-wide pool width for the rest of the test.
+func withLimit(t *testing.T, workers int) {
+	old := parallel.Limit()
+	parallel.SetLimit(workers)
+	t.Cleanup(func() { parallel.SetLimit(old) })
+}
+
 // TestSolversWorkerInvariant verifies every parallelized solver returns
-// bit-identical seed sets at any worker count.
+// bit-identical seed sets at any pool width.
 func TestSolversWorkerInvariant(t *testing.T) {
 	g := parallelTestGraph(t)
 	model := &diffusion.IC{G: g, MaxSteps: 2}
+	run := func(workers int) (seeds [3][]graph.NodeID, celfEvals int) {
+		withLimit(t, workers)
+		celf := &CELF{Model: model, Rounds: 50, Seed: 5, NumNodes: g.NumNodes()}
+		seeds[0] = celf.Select(4)
+		seeds[1] = (&RIS{G: g, Samples: 300, Seed: 9}).Select(4)
+		seeds[2] = (&IMM{G: g, Seed: 9, MaxSamples: 400}).Select(4)
+		return seeds, celf.Evaluations
+	}
+	want, wantEvals := run(1)
 	for _, w := range []int{2, 3, 8} {
-		celf1 := &CELF{Model: model, Rounds: 50, Seed: 5, NumNodes: g.NumNodes(), Workers: 1}
-		celfW := &CELF{Model: model, Rounds: 50, Seed: 5, NumNodes: g.NumNodes(), Workers: w}
-		sameSeeds(t, "celf", celf1.Select(4), celfW.Select(4))
-		if celf1.Evaluations != celfW.Evaluations {
-			t.Fatalf("celf evaluations differ: %d vs %d", celf1.Evaluations, celfW.Evaluations)
+		got, evals := run(w)
+		for i, name := range []string{"celf", "ris", "imm"} {
+			sameSeeds(t, name, want[i], got[i])
 		}
-
-		greedy1 := &Greedy{Model: model, Rounds: 50, Seed: 5, NumNodes: g.NumNodes(), Workers: 1}
-		greedyW := &Greedy{Model: model, Rounds: 50, Seed: 5, NumNodes: g.NumNodes(), Workers: w}
-		sameSeeds(t, "greedy", greedy1.Select(3), greedyW.Select(3))
-
-		ris1 := &RIS{G: g, Samples: 300, Seed: 9, Workers: 1}
-		risW := &RIS{G: g, Samples: 300, Seed: 9, Workers: w}
-		sameSeeds(t, "ris", ris1.Select(4), risW.Select(4))
-
-		imm1 := &IMM{G: g, Seed: 9, MaxSamples: 400, Workers: 1}
-		immW := &IMM{G: g, Seed: 9, MaxSamples: 400, Workers: w}
-		sameSeeds(t, "imm", imm1.Select(4), immW.Select(4))
+		if evals != wantEvals {
+			t.Fatalf("celf evaluations differ: %d vs %d", wantEvals, evals)
+		}
 	}
 }
 
@@ -119,7 +124,8 @@ func TestReverseReachableScratchClean(t *testing.T) {
 func TestRISEmitsParallelFor(t *testing.T) {
 	g := parallelTestGraph(t)
 	var got []obs.ParallelFor
-	r := &RIS{G: g, Samples: 100, Seed: 1, Workers: 2,
+	withLimit(t, 2)
+	r := &RIS{G: g, Samples: 100, Seed: 1,
 		Obs: obs.ObserverFunc(func(e obs.Event) {
 			if pf, ok := e.(obs.ParallelFor); ok {
 				got = append(got, pf)

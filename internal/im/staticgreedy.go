@@ -91,10 +91,7 @@ func buildWorld(g *graph.Graph, maxDepth int, rng *rand.Rand) sgWorld {
 // lossless here).
 func (s *StaticGreedy) Select(k int) []graph.NodeID {
 	n := s.G.NumNodes()
-	if k > n {
-		k = n
-	}
-	if k <= 0 || n == 0 {
+	if k = clampK(k, n); k == 0 {
 		return nil
 	}
 	worlds := s.Worlds

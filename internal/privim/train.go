@@ -268,11 +268,11 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 		s := container.Subgraphs[idx]
 		sc.tape.Reset()
 		sc.bound = nn.BindInto(sc.tape, model.Params, sc.bound)
-		scores := model.ForwardPrep(sc.tape, sc.bound, s.G, features[idx], preps[idx])
+		scores := model.Forward(sc.tape, sc.bound, s.G, features[idx], preps[idx])
 		if cfg.Objective == ObjectiveMaxCover {
-			return gnn.MaxCoverLossCover(sc.tape, s.G, scores, cfg.CoverBudget, 1, lossAdj[idx])
+			return gnn.MaxCoverLoss(sc.tape, s.G, scores, cfg.CoverBudget, 1, lossAdj[idx])
 		}
-		return gnn.IMLossAdj(sc.tape, s.G, scores, lossCfg, lossAdj[idx])
+		return gnn.IMLoss(sc.tape, s.G, scores, lossCfg, lossAdj[idx])
 	}
 	gradPass := func(w, lo, hi int) {
 		sc := scratch.Get(w)

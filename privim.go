@@ -22,7 +22,7 @@
 //   - internal/dp: Gaussian/Laplace/SML mechanisms, RDP accountant, σ calibration
 //   - internal/gnn: GCN / GraphSAGE / GAT / GRAT / GIN over tape autodiff
 //   - internal/diffusion: IC / LT / SIS cascade simulation
-//   - internal/im: CELF, greedy, degree heuristics, RIS
+//   - internal/im: CELF, degree heuristics, RIS/IMM, StaticGreedy
 //   - internal/privim: the trainer, baselines, and parameter indicator
 //   - internal/expt: the benchmark harness reproducing every table/figure
 package privim
@@ -195,8 +195,8 @@ func EstimateSpreadContext(ctx context.Context, m DiffusionModel, seeds []NodeID
 // how many Monte-Carlo rounds had completed.
 type SpreadCanceledError = diffusion.CanceledError
 
-// SelectCanceledError reports a seed-selection solve (CELF, greedy,
-// RIS, IMM SelectContext) stopped early; Seeds holds the valid greedy
+// SelectCanceledError reports a seed-selection solve (CELF, RIS, IMM
+// SelectContext) stopped early; Seeds holds the valid greedy
 // prefix selected so far, nil when cancellation hit before the first
 // pick.
 type SelectCanceledError = im.CanceledError
